@@ -65,12 +65,13 @@ class PhaseSettings:
         only ever *add* an incumbent; disabling them reproduces the cold
         behaviour exactly.
     progressive:
-        Split the time budget into slices and stop once an extra slice no
-        longer improves the incumbent.  The soft phase models have a
-        structurally weak LP bound (zero), so the MIP-gap criterion never
-        fires and this stall criterion is what keeps phases from burning
-        their whole budget after convergence.  Only honoured by the HiGHS
-        backend.
+        Split the time budget into four slices and stop once an extra
+        slice no longer improves the incumbent by more than 1%.  The soft
+        phase models have a structurally weak LP bound (zero), so the
+        MIP-gap criterion never fires and this stall criterion is what
+        keeps phases from burning their whole budget after convergence.
+        Only honoured by the HiGHS backend, and only for MIPs; with it off
+        (or without a time limit) HiGHS runs once on the whole budget.
     """
 
     time_limit: Optional[float] = 120.0

@@ -2,7 +2,8 @@
 
 Two backends are provided:
 
-* ``"highs"`` — SciPy's HiGHS branch-and-cut MILP solver (default),
+* ``"highs"`` — SciPy's HiGHS branch-and-cut MILP solver (default), driven
+  through SciPy's bundled HiGHS binding for every solve,
 * ``"branch-and-bound"`` — a pure-Python reference implementation.
 
 ``get_backend`` accepts either the canonical name or a few common aliases.

@@ -1,13 +1,12 @@
-"""HiGHS MILP backend built on :func:`scipy.optimize.milp`.
+"""HiGHS MILP backend built on SciPy's bundled HiGHS binding.
 
 This is the default backend.  SciPy ships the open-source HiGHS solver, which
 plays the role that Gurobi played in the original paper: an exact
-branch-and-cut MILP solver.  Cold solves go through ``scipy.optimize.milp``
-exactly as before.
-
-Two fast-path features additionally drive HiGHS through the *bundled* binding
-(``scipy.optimize._highspy``), because SciPy's public ``milp`` wrapper cannot
-express them:
+branch-and-cut MILP solver.  Every solve — cold MIP, pure LP, warm-started or
+progressive — drives HiGHS through the binding ``scipy.optimize._highspy``,
+the same binding SciPy's public ``milp`` wrapper drives.  There is no other
+path and no fallback: a SciPy without the binding fails at import.  A cold
+solve is one run with no incumbent; two features go beyond it for MIPs:
 
 * **warm starts** — a (possibly partial) incumbent from a previous, related
   solve is injected with ``Highs.setSolution`` so the MIP search starts from
@@ -20,8 +19,7 @@ express them:
   zero), so the MIP gap criterion never fires and the stall criterion is what
   actually ends the solve.
 
-When the bundled binding is unavailable the backend silently degrades to the
-plain ``milp`` path; warm starts are then ignored.
+A pure LP has no incumbent to seed or to stall on, so it is always one run.
 """
 
 from __future__ import annotations
@@ -30,36 +28,27 @@ import time
 from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize, sparse
+import scipy.optimize._highspy._core as core
+from scipy import sparse
 
 from repro.errors import SolverError
 from repro.ilp.backends.base import SolverBackend
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
 
-#: Default number of budget slices of a progressive solve.
+#: Number of budget slices of a progressive solve.
 DEFAULT_PROGRESSIVE_SLICES = 4
 
 #: A slice must improve the incumbent by this relative amount for the
 #: progressive solve to keep going.
 DEFAULT_MIN_IMPROVEMENT = 0.01
 
-
-def _highspy_core():
-    """Return SciPy's bundled HiGHS binding, or ``None`` if unavailable."""
-    try:  # pragma: no cover - exercised indirectly
-        import scipy.optimize._highspy._core as core
-
-        # The private binding has changed names across SciPy releases; only
-        # use it when everything the warm-start path needs is present.
-        required = ("HighsLp", "HighsOptions", "HighsSolution", "MatrixFormat")
-        if not all(hasattr(core, name) for name in required):
-            return None
-        if not (hasattr(core, "_Highs") or hasattr(core, "Highs")):
-            return None
-        return core
-    except Exception:  # pragma: no cover - defensive
-        return None
+#: Budget limits: a MIP stopped by one of these may still hold an incumbent.
+_LIMITS = (
+    core.HighsModelStatus.kTimeLimit,
+    core.HighsModelStatus.kIterationLimit,
+    core.HighsModelStatus.kSolutionLimit,
+)
 
 
 class HighsBackend(SolverBackend):
@@ -88,14 +77,7 @@ class HighsBackend(SolverBackend):
                 backend=self.name,
             )
 
-        display = bool(options.pop("display", False))
-        node_limit = options.pop("node_limit", None)
-        presolve = options.pop("presolve", None)
-        progressive = options.pop("progressive", None)
-        slices = int(options.pop("progressive_slices", DEFAULT_PROGRESSIVE_SLICES))
-        min_improvement = float(
-            options.pop("min_improvement", DEFAULT_MIN_IMPROVEMENT)
-        )
+        progressive = bool(options.pop("progressive", False))
         if options:
             raise SolverError(
                 f"unknown options for the HiGHS backend: {sorted(options)}"
@@ -104,98 +86,16 @@ class HighsBackend(SolverBackend):
         warm_vector = None
         if warm_start is not None:
             warm_vector = self.warm_start_vector(form, warm_start)
-
-        core = _highspy_core()
-        is_mip = int(np.count_nonzero(form.integrality)) > 0
-        use_direct = core is not None and is_mip and (
-            warm_vector is not None or bool(progressive)
-        )
-        if use_direct:
-            return self._solve_direct(
-                core,
-                form,
-                start,
-                time_limit=time_limit,
-                mip_gap=mip_gap,
-                warm_vector=warm_vector,
-                display=display,
-                presolve=presolve,
-                node_limit=node_limit,
-                progressive=bool(progressive),
-                slices=max(1, slices),
-                min_improvement=min_improvement,
-            )
-        return self._solve_scipy(
+        return self._solve_direct(
             form,
             start,
             time_limit=time_limit,
             mip_gap=mip_gap,
-            display=display,
-            node_limit=node_limit,
-            presolve=presolve,
+            warm_vector=warm_vector,
+            progressive=progressive,
         )
 
-    # ------------------------------------------------------------------ #
-    # the classic scipy.optimize.milp path (cold solves)
-    # ------------------------------------------------------------------ #
-
-    def _solve_scipy(
-        self,
-        form,
-        start: float,
-        time_limit,
-        mip_gap,
-        display: bool,
-        node_limit,
-        presolve,
-    ) -> Solution:
-        objective = form.objective.copy()
-        if form.maximize:
-            objective = -objective
-
-        constraints = []
-        if form.a_ub.shape[0] > 0:
-            constraints.append(
-                optimize.LinearConstraint(
-                    form.a_ub, -np.inf * np.ones(form.a_ub.shape[0]), form.b_ub
-                )
-            )
-        if form.a_eq.shape[0] > 0:
-            constraints.append(
-                optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
-            )
-
-        bounds = optimize.Bounds(form.lower, form.upper)
-
-        milp_options = {"disp": display}
-        if time_limit is not None:
-            milp_options["time_limit"] = float(time_limit)
-        if mip_gap is not None:
-            milp_options["mip_rel_gap"] = float(mip_gap)
-        if node_limit is not None:
-            milp_options["node_limit"] = int(node_limit)
-        if presolve is not None:
-            milp_options["presolve"] = bool(presolve)
-
-        try:
-            result = optimize.milp(
-                c=objective,
-                constraints=constraints,
-                integrality=form.integrality,
-                bounds=bounds,
-                options=milp_options,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            raise SolverError(f"HiGHS backend failed: {exc}") from exc
-
-        elapsed = time.perf_counter() - start
-        return self._interpret(form, result, elapsed)
-
-    # ------------------------------------------------------------------ #
-    # the direct (warm-started / progressive) path
-    # ------------------------------------------------------------------ #
-
-    def _build_lp(self, core, form):
+    def _build_lp(self, form):
         """Lower a StandardForm to a ``HighsLp`` (built once, reused)."""
         num_ub = form.a_ub.shape[0]
         num_eq = form.a_eq.shape[0]
@@ -235,29 +135,21 @@ class HighsBackend(SolverBackend):
         return lp
 
     def _run_direct_once(
-        self,
-        core,
-        lp,
-        time_limit,
-        mip_gap,
-        warm_vector,
-        display: bool,
-        presolve,
-        node_limit=None,
+        self, lp, is_mip: bool, time_limit, mip_gap, warm_vector
     ) -> Tuple[object, Optional[np.ndarray], Optional[float], Optional[int]]:
-        """One HiGHS run; returns ``(model_status, x, gap, nodes)``."""
-        highs_cls = getattr(core, "_Highs", None) or getattr(core, "Highs")
-        highs = highs_cls()
+        """One HiGHS run; returns ``(model_status, x, gap, nodes)``.
+
+        ``x`` is read only when the status carries a solution (SciPy's
+        ``milp`` rule): an LP only when optimal, a MIP when optimal or when
+        a budget limit stopped it with a finite incumbent objective.
+        """
+        highs = core._Highs()
         opts = core.HighsOptions()
-        opts.output_flag = display
+        opts.output_flag = False
         if time_limit is not None:
             opts.time_limit = float(time_limit)
         if mip_gap is not None:
             opts.mip_rel_gap = float(mip_gap)
-        if presolve is not None:
-            opts.presolve = "on" if presolve else "off"
-        if node_limit is not None:
-            opts.mip_max_nodes = int(node_limit)
         if highs.passOptions(opts) == core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the solver options")
         if highs.passModel(lp) == core.HighsStatus.kError:
@@ -271,7 +163,11 @@ class HighsBackend(SolverBackend):
 
         status = highs.getModelStatus()
         info = highs.getInfo()
-        has_solution = np.isfinite(info.objective_function_value)
+        has_solution = status == core.HighsModelStatus.kOptimal or (
+            is_mip
+            and status in _LIMITS
+            and np.isfinite(info.objective_function_value)
+        )
         x = None
         if has_solution:
             x = np.asarray(highs.getSolution().col_value, dtype=float)
@@ -285,29 +181,25 @@ class HighsBackend(SolverBackend):
 
     def _solve_direct(
         self,
-        core,
         form,
         start: float,
         time_limit,
         mip_gap,
         warm_vector,
-        display: bool,
-        presolve,
-        node_limit,
         progressive: bool,
-        slices: int,
-        min_improvement: float,
     ) -> Solution:
-        lp = self._build_lp(core, form)
+        lp = self._build_lp(form)
+        is_mip = bool(form.integrality.any())
+        if not is_mip:
+            warm_vector, progressive = None, False
         sign = -1.0 if form.maximize else 1.0
 
-        if not progressive or time_limit is None or slices <= 1:
+        if not progressive or time_limit is None:
             status, x, gap, nodes = self._run_direct_once(
-                core, lp, time_limit, mip_gap, warm_vector, display, presolve,
-                node_limit,
+                lp, is_mip, time_limit, mip_gap, warm_vector
             )
             return self._interpret_direct(
-                core, form, status, x, gap, time.perf_counter() - start,
+                form, status, x, gap, time.perf_counter() - start,
                 iterations=nodes,
             )
 
@@ -316,7 +208,7 @@ class HighsBackend(SolverBackend):
         # caller-provided warm start is only ever a *seed* — it may be
         # infeasible, so it never becomes the returned incumbent itself.
         deadline = start + float(time_limit)
-        slice_budget = float(time_limit) / slices
+        slice_budget = float(time_limit) / DEFAULT_PROGRESSIVE_SLICES
         best_x: Optional[np.ndarray] = None
         best_signed = np.inf
         last_status, last_gap = None, None
@@ -332,7 +224,7 @@ class HighsBackend(SolverBackend):
             budget = min(slice_budget, max(remaining, 0.05))
             seed = best_x if best_x is not None else warm_vector
             status, x, gap, nodes = self._run_direct_once(
-                core, lp, budget, mip_gap, seed, display, presolve, node_limit
+                lp, is_mip, budget, mip_gap, seed
             )
             used_slices += 1
             last_status, last_gap = status, gap
@@ -341,14 +233,10 @@ class HighsBackend(SolverBackend):
             if status == core.HighsModelStatus.kInfeasible:
                 # Infeasibility is terminal.
                 return self._interpret_direct(
-                    core, form, status, None, gap, time.perf_counter() - start,
+                    form, status, None, gap, time.perf_counter() - start,
                     iterations=total_nodes,
                 )
-            if x is None and status not in (
-                core.HighsModelStatus.kTimeLimit,
-                core.HighsModelStatus.kIterationLimit,
-                core.HighsModelStatus.kSolutionLimit,
-            ):
+            if x is None and status not in _LIMITS:
                 # A solver error (not a budget limit) would repeat identically
                 # on every retry — fail now instead of hot-looping until the
                 # deadline.
@@ -356,7 +244,7 @@ class HighsBackend(SolverBackend):
             if x is not None:
                 signed = sign * float(form.objective @ x)
                 improvement = best_signed - signed
-                threshold = min_improvement * max(1.0, abs(best_signed))
+                threshold = DEFAULT_MIN_IMPROVEMENT * max(1.0, abs(best_signed))
                 improved_enough = (
                     not np.isfinite(best_signed) or improvement > threshold
                 )
@@ -374,7 +262,7 @@ class HighsBackend(SolverBackend):
 
         elapsed = time.perf_counter() - start
         solution = self._interpret_direct(
-            core, form, last_status, best_x, last_gap, elapsed,
+            form, last_status, best_x, last_gap, elapsed,
             iterations=total_nodes,
         )
         if stalled and solution.is_feasible:
@@ -394,21 +282,25 @@ class HighsBackend(SolverBackend):
         return solution
 
     def _interpret_direct(
-        self, core, form, status, x, gap, elapsed: float,
+        self, form, status, x, gap, elapsed: float,
         iterations: Optional[int] = None,
     ) -> Solution:
-        """Map a direct HiGHS run to a :class:`Solution`."""
+        """Map a HiGHS run to a :class:`Solution`.
+
+        ``kUnboundedOrInfeasible`` is an ``ERROR``: HiGHS has not decided
+        which of the two it is, and the message names the HiGHS status.
+        """
         has_solution = x is not None
         hs = core.HighsModelStatus
         if status == hs.kOptimal and has_solution:
             our_status = SolveStatus.OPTIMAL
-        elif status in (hs.kTimeLimit, hs.kIterationLimit) and has_solution:
+        elif status in _LIMITS and has_solution:
             our_status = SolveStatus.FEASIBLE
-        elif status in (hs.kTimeLimit, hs.kIterationLimit):
+        elif status in _LIMITS:
             our_status = SolveStatus.TIME_LIMIT
         elif status == hs.kInfeasible:
             our_status = SolveStatus.INFEASIBLE
-        elif status in (hs.kUnbounded, hs.kUnboundedOrInfeasible):
+        elif status == hs.kUnbounded:
             our_status = SolveStatus.UNBOUNDED
         elif has_solution:
             our_status = SolveStatus.FEASIBLE
@@ -437,59 +329,4 @@ class HighsBackend(SolverBackend):
             message=message,
             gap=gap,
             iterations=iterations,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _interpret(self, form, result, elapsed: float) -> Solution:
-        """Map SciPy's ``OptimizeResult`` to a :class:`Solution`."""
-        # scipy.optimize.milp status codes:
-        #   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-        status_code = int(getattr(result, "status", 4))
-        x = getattr(result, "x", None)
-        message = str(getattr(result, "message", ""))
-        gap = getattr(result, "mip_gap", None)
-        gap = float(gap) if gap is not None else None
-        nodes = getattr(result, "mip_node_count", None)
-        nodes = int(nodes) if nodes is not None and np.isfinite(nodes) else None
-
-        has_solution = x is not None and np.all(np.isfinite(x))
-
-        if status_code == 0 and has_solution:
-            status = SolveStatus.OPTIMAL
-        elif status_code == 1 and has_solution:
-            status = SolveStatus.FEASIBLE
-        elif status_code == 1:
-            status = SolveStatus.TIME_LIMIT
-        elif status_code == 2:
-            status = SolveStatus.INFEASIBLE
-        elif status_code == 3:
-            status = SolveStatus.UNBOUNDED
-        elif has_solution:
-            status = SolveStatus.FEASIBLE
-        else:
-            status = SolveStatus.ERROR
-
-        if not has_solution:
-            return Solution(
-                status=status,
-                solve_time=elapsed,
-                backend=self.name,
-                message=message,
-                gap=gap,
-                iterations=nodes,
-            )
-
-        values = self.assignment_from_vector(form, np.asarray(x, dtype=float))
-        vector = np.array([values[var] for var in form.variables])
-        objective = self.objective_value(form, vector)
-        return Solution(
-            status=status,
-            objective=objective,
-            values=values,
-            solve_time=elapsed,
-            backend=self.name,
-            message=message,
-            gap=gap,
-            iterations=nodes,
         )

@@ -63,8 +63,8 @@ class Solution:
         Free-form diagnostic text from the backend.
     iterations:
         Solver effort count when the backend reports one — branch-and-bound
-        nodes explored for the bundled B&B and HiGHS direct paths, ``None``
-        when the backend exposes no such counter (e.g. SciPy's milp).
+        nodes explored for the bundled B&B and HiGHS MIP solves, ``None``
+        when there is no such counter (e.g. a HiGHS LP solve).
     """
 
     status: SolveStatus

@@ -344,36 +344,39 @@ class LayoutScheduler:
         self.metrics = MetricsRegistry()
         #: Per-job span trees (``GET /jobs/{hash}/trace``).
         self.traces = TraceStore()
+        counter_table = (
+            ("_solved", "rfic_jobs_solved_total",
+             "Jobs settled by an actual solve"),
+            ("_served_from_cache", "rfic_jobs_served_from_cache_total",
+             "Jobs settled from the result cache"),
+            ("_attached", "rfic_jobs_attached_total",
+             "Submissions that joined an in-flight identical job"),
+            ("_failed", "rfic_jobs_failed_total",
+             "Jobs settled as failed/timeout/cancelled"),
+            ("_admitted", "rfic_admission_admitted_total",
+             "Submissions answered successfully (queued, attached, or "
+             "served from cache) — the SLO availability numerator"),
+            ("_rejected", "rfic_admission_rejected_total",
+             "Submissions refused by queue bounds"),
+            ("_shed", "rfic_admission_shed_total",
+             "Background submissions shed under load"),
+            ("_dispatcher_restarts", "rfic_dispatcher_restarts_total",
+             "Dispatcher loops restarted by the supervisor"),
+            ("_poisoned", "rfic_jobs_poisoned_total",
+             "Jobs quarantined after exhausting the crash budget"),
+            ("_crash_retries", "rfic_crash_retries_total",
+             "Worker crashes that earned the job a retry"),
+            ("_checkpoint_writes", "rfic_checkpoint_writes_total",
+             "Per-phase solve checkpoints durably written by workers"),
+            ("_resumes", "rfic_solve_resumes_total",
+             "Solves that resumed from a stored checkpoint instead of "
+             "starting cold"),
+        )
+        #: Counter attr → Prometheus name; ``stats()`` reads by name.
+        self._counter_names = {attr: name for attr, name, _ in counter_table}
         self._counters = {
             attr: self.metrics.counter(name, help_text)
-            for attr, name, help_text in (
-                ("_solved", "rfic_jobs_solved_total",
-                 "Jobs settled by an actual solve"),
-                ("_served_from_cache", "rfic_jobs_served_from_cache_total",
-                 "Jobs settled from the result cache"),
-                ("_attached", "rfic_jobs_attached_total",
-                 "Submissions that joined an in-flight identical job"),
-                ("_failed", "rfic_jobs_failed_total",
-                 "Jobs settled as failed/timeout/cancelled"),
-                ("_admitted", "rfic_admission_admitted_total",
-                 "Submissions answered successfully (queued, attached, or "
-                 "served from cache) — the SLO availability numerator"),
-                ("_rejected", "rfic_admission_rejected_total",
-                 "Submissions refused by queue bounds"),
-                ("_shed", "rfic_admission_shed_total",
-                 "Background submissions shed under load"),
-                ("_dispatcher_restarts", "rfic_dispatcher_restarts_total",
-                 "Dispatcher loops restarted by the supervisor"),
-                ("_poisoned", "rfic_jobs_poisoned_total",
-                 "Jobs quarantined after exhausting the crash budget"),
-                ("_crash_retries", "rfic_crash_retries_total",
-                 "Worker crashes that earned the job a retry"),
-                ("_checkpoint_writes", "rfic_checkpoint_writes_total",
-                 "Per-phase solve checkpoints durably written by workers"),
-                ("_resumes", "rfic_solve_resumes_total",
-                 "Solves that resumed from a stored checkpoint instead of "
-                 "starting cold"),
-            )
+            for attr, name, help_text in counter_table
         }
         self._latency_hist = self.metrics.histogram(
             "rfic_job_latency_seconds",
@@ -416,55 +419,9 @@ class LayoutScheduler:
         """Atomically increment one of the stats counters."""
         self._counters[counter].inc(amount)
 
-    # The counters live in the metrics registry; these read-only views
-    # keep the historical attribute names (tests and callers read them).
-    @property
-    def _solved(self) -> int:
-        return int(self._counters["_solved"].value)
-
-    @property
-    def _served_from_cache(self) -> int:
-        return int(self._counters["_served_from_cache"].value)
-
-    @property
-    def _attached(self) -> int:
-        return int(self._counters["_attached"].value)
-
-    @property
-    def _failed(self) -> int:
-        return int(self._counters["_failed"].value)
-
-    @property
-    def _admitted(self) -> int:
-        return int(self._counters["_admitted"].value)
-
-    @property
-    def _rejected(self) -> int:
-        return int(self._counters["_rejected"].value)
-
-    @property
-    def _shed(self) -> int:
-        return int(self._counters["_shed"].value)
-
-    @property
-    def _dispatcher_restarts(self) -> int:
-        return int(self._counters["_dispatcher_restarts"].value)
-
-    @property
-    def _poisoned(self) -> int:
-        return int(self._counters["_poisoned"].value)
-
-    @property
-    def _crash_retries(self) -> int:
-        return int(self._counters["_crash_retries"].value)
-
-    @property
-    def _checkpoint_writes(self) -> int:
-        return int(self._counters["_checkpoint_writes"].value)
-
-    @property
-    def _resumes(self) -> int:
-        return int(self._counters["_resumes"].value)
+    def _count(self, attr: str) -> int:
+        """Current value of one of the stats counters."""
+        return int(self._counters[attr].value)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -1198,7 +1155,7 @@ class LayoutScheduler:
         journal_degraded = self.queue.degraded
         cache_error = self.cache.last_put_error
         degraded = journal_degraded is not None or cache_error is not None
-        restarts = self._dispatcher_restarts
+        restarts = self._count("_dispatcher_restarts")
         return {
             "status": "degraded" if degraded else "ok",
             "draining": self._draining,
@@ -1280,8 +1237,8 @@ class LayoutScheduler:
         """Current monotonic totals as one SLO sample."""
         latency = self._latency_hist.snapshot()
         return SLOPoint.capture(
-            good_total=self._admitted,
-            bad_total=self._rejected + self._shed,
+            good_total=self._count("_admitted"),
+            bad_total=self._count("_rejected") + self._count("_shed"),
             latency_buckets=latency["buckets"],  # type: ignore[arg-type]
             latency_count=int(latency["count"]),  # type: ignore[call-overload]
         )
@@ -1453,21 +1410,9 @@ class LayoutScheduler:
         snapshot = self.metrics_snapshot()
 
         def counter(attr: str) -> int:
-            name = {
-                "_admitted": "rfic_admission_admitted_total",
-                "_solved": "rfic_jobs_solved_total",
-                "_served_from_cache": "rfic_jobs_served_from_cache_total",
-                "_attached": "rfic_jobs_attached_total",
-                "_failed": "rfic_jobs_failed_total",
-                "_rejected": "rfic_admission_rejected_total",
-                "_shed": "rfic_admission_shed_total",
-                "_dispatcher_restarts": "rfic_dispatcher_restarts_total",
-                "_crash_retries": "rfic_crash_retries_total",
-                "_poisoned": "rfic_jobs_poisoned_total",
-                "_checkpoint_writes": "rfic_checkpoint_writes_total",
-                "_resumes": "rfic_solve_resumes_total",
-            }[attr]
-            return int(self._snapshot_value(snapshot, name))
+            return int(
+                self._snapshot_value(snapshot, self._counter_names[attr])
+            )
 
         counts = {
             state: int(

@@ -1,5 +1,7 @@
 """Tests of the two MILP backends, including cross-checks between them."""
 
+import math
+
 import pytest
 
 from repro.errors import SolverError
@@ -156,12 +158,74 @@ class TestBranchAndBoundSpecifics:
         assert solution.gap <= 1e-6
 
 
+def infeasible_lp():
+    model = Model()
+    x = model.add_continuous("x", lb=0, ub=1)
+    model.add_constraint(x >= 2)
+    return model
+
+
+def infeasible_mip():
+    model = Model()
+    a, b = model.add_binary("a"), model.add_binary("b")
+    model.add_constraint(a + b >= 3)
+    model.set_objective(a + b, sense="min")
+    return model
+
+
+def unbounded_lp():
+    model = Model()
+    x = model.add_continuous("x")
+    model.set_objective(x, sense="max")
+    return model
+
+
+def unbounded_or_infeasible_mip():
+    model = Model()
+    n = model.add_integer("n")
+    y = model.add_continuous("y")
+    model.add_constraint(n - y <= 3)
+    model.set_objective(n + y, sense="max")
+    return model
+
+
 class TestHighsSpecifics:
-    def test_unknown_option_rejected(self):
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("warm_start", True),
+            # Removed options; HiGHS output stays off, slicing is fixed.
+            ("presolve", True),
+            ("node_limit", 5),
+            ("progressive_slices", 2),
+        ],
+    )
+    def test_unknown_option_rejected(self, name, value):
         model = Model()
         model.add_continuous("x", ub=1)
         with pytest.raises(SolverError):
-            model.solve(backend="highs", warm_start=True)
+            model.solve(backend="highs", **{name: value})
+
+    @pytest.mark.parametrize(
+        "build,status",
+        [
+            (infeasible_lp, SolveStatus.INFEASIBLE),
+            (infeasible_mip, SolveStatus.INFEASIBLE),
+            (unbounded_lp, SolveStatus.UNBOUNDED),
+            # HiGHS cannot tell which; reported as an error naming its status.
+            (unbounded_or_infeasible_mip, SolveStatus.ERROR),
+        ],
+    )
+    @pytest.mark.parametrize("progressive", [False, True])
+    def test_no_solution_is_read_without_one(self, build, status, progressive):
+        solution = build().solve(
+            backend="highs", time_limit=10.0, progressive=progressive
+        )
+        assert solution.status is status
+        assert math.isnan(solution.objective)
+        assert solution.values == {}
+        if status is SolveStatus.ERROR:
+            assert "kUnboundedOrInfeasible" in solution.message
 
     def test_time_limit_is_accepted(self):
         model, _ = knapsack_model([2, 3, 4], [3, 4, 5], 6)

@@ -44,7 +44,7 @@ def test_bump_is_atomic_across_16_threads(tmp_path):
         thread.start()
     for thread in threads:
         thread.join()
-    assert scheduler._solved == 16 * 2000
+    assert scheduler._count("_solved") == 16 * 2000
 
 
 def test_stats_exact_after_concurrent_submissions(tmp_path):

@@ -149,3 +149,48 @@ def test_cache_entries_carry_a_solve_profile(tmp_path):
     assert entry is not None
     assert entry.profile is not None
     assert entry.profile["total_s"] >= 0
+
+
+def test_every_highs_solve_takes_the_one_binding_path(monkeypatch):
+    """Cold MIP, pure LP, warm-started and progressive solves all reach the
+    binding's single-run function; nothing goes through ``milp``."""
+    import inspect
+
+    import repro.ilp.backends.highs as highs
+    from repro.ilp import Model
+
+    runs = []
+    original = highs.HighsBackend._run_direct_once
+
+    def counting(self, *args, **kwargs):
+        runs.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(highs.HighsBackend, "_run_direct_once", counting)
+
+    def mip():
+        model = Model()
+        items = [model.add_binary(f"b{i}") for i in range(3)]
+        model.add_constraint(2 * items[0] + 3 * items[1] + 4 * items[2] <= 5)
+        model.set_objective(3 * items[0] + 4 * items[1] + 5 * items[2], sense="max")
+        return model
+
+    lp = Model()
+    x = lp.add_continuous("x", ub=4)
+    lp.set_objective(x, sense="max")
+
+    solves = {
+        "cold MIP": lambda: mip().solve(backend="highs"),
+        "pure LP": lambda: lp.solve(backend="highs"),
+        "warm MIP": lambda: mip().solve(backend="highs", warm_start={"b0": 1.0}),
+        "progressive": lambda: mip().solve(
+            backend="highs", time_limit=10.0, progressive=True
+        ),
+    }
+    for label, solve in solves.items():
+        before = len(runs)
+        assert solve().is_feasible, label
+        assert len(runs) > before, f"{label} bypassed the binding"
+        if label == "warm MIP":
+            assert runs[-1][-1] is not None, "the warm start was dropped"
+    assert "optimize.milp" not in inspect.getsource(highs)
