@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -141,6 +141,54 @@ class JobOutcome:
         return row
 
 
+def _execute(job: LayoutJob, cache: Optional[ResultCache]) -> JobOutcome:
+    """Run one job to a ``completed`` outcome, storing it in ``cache``.
+
+    The one execution body of both pool modes: the inline pool calls it
+    directly, a worker process calls it and sends the outcome (which
+    pickles) back over its pipe.  Exceptions propagate — each caller owns
+    its own isolation boundary.
+    """
+    FAULTS.act("worker.run")
+    checkpointer = (
+        SolveCheckpointer(cache, job.content_hash)
+        if cache is not None and job.flow == "pilp"
+        else None
+    )
+    # Only pass the kwarg when checkpointing is live: non-pilp flows
+    # (and cacheless pools) keep the plain ``run()`` contract.
+    result = job.run(checkpoint=checkpointer) if checkpointer is not None else job.run()
+    profile = result.profile()
+    entry = None
+    if cache is not None:
+        put_started = CLOCK.perf()
+        entry = cache.put(job, result)
+        profile["cache_put_s"] = round(CLOCK.perf() - put_started, 6)
+        if entry is not None and checkpointer is not None:
+            # The full entry supersedes the partial one; a leftover
+            # checkpoint would only shadow the cache hit's fast path.
+            checkpointer.clear()
+    return JobOutcome(
+        job=job,
+        status="completed",
+        summary=result.summary(),
+        runtime=result.runtime,
+        entry=entry,
+        # No cache, or the store failed (full disk): the layout must travel
+        # with the outcome or the solve would be lost with it.
+        layout_doc=None if entry is not None else layout_to_dict(result.layout),
+        phases=result.phase_table(),
+        profile=profile,
+        trace_id=job.trace_id,
+    )
+
+
+def _failure(job: LayoutJob, status: str, runtime: float, error: str) -> JobOutcome:
+    return JobOutcome(
+        job=job, status=status, runtime=runtime, error=error, trace_id=job.trace_id
+    )
+
+
 def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
     """Entry point of a worker process: run one job, report via its pipe.
 
@@ -149,42 +197,8 @@ def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
     reports of the other workers in the batch.
     """
     try:
-        FAULTS.act("worker.run")
         cache = ResultCache(cache_root) if cache_root is not None else None
-        checkpointer = (
-            SolveCheckpointer(cache, job.content_hash)
-            if cache is not None and job.flow == "pilp"
-            else None
-        )
-        # Only pass the kwarg when checkpointing is live: non-pilp flows
-        # (and cacheless pools) keep the plain ``run()`` contract.
-        result = (
-            job.run(checkpoint=checkpointer)
-            if checkpointer is not None
-            else job.run()
-        )
-        profile = result.profile()
-        payload: Dict[str, object] = {
-            "summary": result.summary(),
-            "phases": result.phase_table(),
-            "runtime": result.runtime,
-            "trace": getattr(job, "trace_id", ""),
-        }
-        entry = None
-        if cache is not None:
-            put_started = CLOCK.perf()
-            entry = cache.put(job, result)
-            profile["cache_put_s"] = round(CLOCK.perf() - put_started, 6)
-            if entry is not None and checkpointer is not None:
-                # The full entry supersedes the partial one; a leftover
-                # checkpoint would only shadow the cache hit's fast path.
-                checkpointer.clear()
-        payload["profile"] = profile
-        if entry is None:
-            # No cache, or the store failed (full disk): the layout must
-            # travel over the pipe or the solve would be lost with it.
-            payload["layout"] = layout_to_dict(result.layout)
-        conn.send((True, payload))
+        conn.send((True, _execute(job, cache)))
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
         conn.send((False, f"{type(exc).__name__}: {exc}"))
     finally:
@@ -267,17 +281,8 @@ class WorkerPool:
 
         for index, primary in duplicates.items():
             source = outcomes[primary]
-            outcomes[index] = JobOutcome(
-                job=jobs[index],
-                status=source.status,
-                summary=source.summary,
-                runtime=source.runtime,
-                error=source.error,
-                entry=source.entry,
-                layout_doc=source.layout_doc,
-                phases=source.phases,
-                profile=source.profile,
-                trace_id=getattr(jobs[index], "trace_id", "") or source.trace_id,
+            outcomes[index] = replace(
+                source, job=jobs[index], trace_id=jobs[index].trace_id or source.trace_id
             )
         return [outcomes[index] for index in range(len(jobs))]
 
@@ -305,48 +310,15 @@ class WorkerPool:
             outcome = self._cache_lookup(job)
             if outcome is None:
                 started = time.perf_counter()
-                checkpointer = (
-                    SolveCheckpointer(self.cache, job.content_hash)
-                    if self.cache is not None and job.flow == "pilp"
-                    else None
-                )
                 self._emit_resumed(job, progress)
                 try:
-                    FAULTS.act("worker.run")
-                    result = (
-                        job.run(checkpoint=checkpointer)
-                        if checkpointer is not None
-                        else job.run()
-                    )
+                    outcome = _execute(job, self.cache)
                 except Exception as exc:  # noqa: BLE001 - job boundary
-                    outcome = JobOutcome(
-                        job=job,
-                        status="failed",
-                        runtime=time.perf_counter() - started,
-                        error=f"{type(exc).__name__}: {exc}",
-                        trace_id=getattr(job, "trace_id", ""),
-                    )
-                else:
-                    profile = result.profile()
-                    entry = None
-                    if self.cache is not None:
-                        put_started = CLOCK.perf()
-                        entry = self.cache.put(job, result)
-                        profile["cache_put_s"] = round(
-                            CLOCK.perf() - put_started, 6
-                        )
-                        if entry is not None and checkpointer is not None:
-                            checkpointer.clear()
-                    outcome = JobOutcome(
-                        job=job,
-                        status="completed",
-                        summary=result.summary(),
-                        runtime=result.runtime,
-                        entry=entry,
-                        layout_doc=None if entry else layout_to_dict(result.layout),
-                        phases=result.phase_table(),
-                        profile=profile,
-                        trace_id=getattr(job, "trace_id", ""),
+                    outcome = _failure(
+                        job,
+                        "failed",
+                        time.perf_counter() - started,
+                        f"{type(exc).__name__}: {exc}",
                     )
             outcomes[index] = self._settle(outcome, progress)
             if stop_when and stop_when(outcome):
@@ -458,47 +430,30 @@ class WorkerPool:
             ok, payload = state.message
             state.process.join(timeout=5.0)
             if ok:
+                # Re-verify the entry the worker stored rather than trust
+                # the copy that crossed the pipe.
                 entry = self.cache.peek(state.job) if self.cache is not None else None
-                return JobOutcome(
-                    job=state.job,
-                    status="completed",
-                    summary=dict(payload["summary"]),
-                    runtime=float(payload["runtime"]),
-                    entry=entry,
-                    layout_doc=payload.get("layout"),
-                    phases=list(payload["phases"]),
-                    profile=payload.get("profile"),
-                    trace_id=str(payload.get("trace", "")),
-                )
+                return replace(payload, job=state.job, entry=entry)
             LOG.log(
                 "worker.failed",
                 level="error",
-                trace=getattr(state.job, "trace_id", ""),
+                trace=state.job.trace_id,
                 key=state.job.content_hash,
                 error=str(payload),
             )
-            return JobOutcome(
-                job=state.job,
-                status="failed",
-                runtime=elapsed,
-                error=str(payload),
-                trace_id=getattr(state.job, "trace_id", ""),
-            )
+            return _failure(state.job, "failed", elapsed, str(payload))
         if state.deadline is not None and now > state.deadline:
             _terminate(state.process)
             LOG.log(
                 "worker.timeout",
                 level="warning",
-                trace=getattr(state.job, "trace_id", ""),
+                trace=state.job.trace_id,
                 key=state.job.content_hash,
                 timeout_s=self.job_timeout,
             )
-            return JobOutcome(
-                job=state.job,
-                status="timeout",
-                runtime=elapsed,
-                error=f"timed out after {self.job_timeout:.1f}s",
-                trace_id=getattr(state.job, "trace_id", ""),
+            return _failure(
+                state.job, "timeout", elapsed,
+                f"timed out after {self.job_timeout:.1f}s",
             )
         if not state.process.is_alive():
             # Died without a message so far.  The result may still be in
@@ -513,16 +468,13 @@ class WorkerPool:
             LOG.log(
                 "worker.crashed",
                 level="error",
-                trace=getattr(state.job, "trace_id", ""),
+                trace=state.job.trace_id,
                 key=state.job.content_hash,
                 exit_code=state.process.exitcode,
             )
-            return JobOutcome(
-                job=state.job,
-                status="failed",
-                runtime=elapsed,
-                error=f"worker crashed (exit code {state.process.exitcode})",
-                trace_id=getattr(state.job, "trace_id", ""),
+            return _failure(
+                state.job, "failed", elapsed,
+                f"worker crashed (exit code {state.process.exitcode})",
             )
         return None
 
@@ -557,7 +509,7 @@ class WorkerPool:
             runtime=float(entry.summary.get("runtime_s", 0.0)),
             entry=entry,
             profile=entry.profile,
-            trace_id=getattr(job, "trace_id", ""),
+            trace_id=job.trace_id,
         )
 
     def _settle(

@@ -119,6 +119,10 @@ class LayoutHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body leave in separate sends, and with
+    #: Nagle on, a kept-alive connection's body would wait ~40 ms for the
+    #: client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
     server: LayoutHTTPServer
 
     # ------------------------------------------------------------------ #
@@ -136,18 +140,21 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n"
+        self._send_bytes(body, "application/json; charset=utf-8", status, headers)
+
+    def _send_bytes(
+        self,
+        body: bytes,
+        content_type: str,
+        status: int = 200,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Write one complete response: the only non-streaming writer."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_bytes(self, body: bytes, content_type: str) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 

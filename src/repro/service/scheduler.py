@@ -15,7 +15,11 @@ PR 3 :class:`~repro.runner.pool.BatchRunner`:
   flooding the queue cannot starve the others), then FIFO.
 * **Settlement** is exactly-once per content hash, journaled through the
   queue; every transition is published on the :class:`EventBus` that feeds
-  the HTTP API's Server-Sent Events.
+  the HTTP API's Server-Sent Events.  Every terminal path — admission cache
+  serve, dispatch-time re-quarantine, worker outcome, dispatch error — goes
+  through :meth:`LayoutScheduler._settle`, the only place that journals a
+  settlement, bumps its counters, observes its latency and publishes its
+  terminal event.
 
 Event schema (also the SSE ``data:`` payload)::
 
@@ -589,8 +593,14 @@ class LayoutScheduler:
                 )
                 self._wakeup.notify()
             return record, disposition
+        # The admission's one verified cache read: it both exempts a
+        # cache-resident job from the capacity check and serves it.  A hit
+        # is counted here; a miss is not — the pool counts its own lookup
+        # when the job is actually dispatched.
+        entry = self.cache.peek(job)
+        if entry is not None:
+            self.cache.stats.hits += 1
         if existing is not None and existing.state == "done":
-            entry = self._cache_hit(job)
             if entry is not None:
                 # Served from the already-settled record: no settlement
                 # happens, so this lands in the cache-serve histogram,
@@ -609,7 +619,7 @@ class LayoutScheduler:
             )
             self._wakeup.notify()
             return record, "requeued"
-        if self.cache.peek(job) is None:
+        if entry is None:
             # Fresh work that will actually occupy a queue slot (a
             # cache hit settles instantly and is admission-exempt).
             self._check_capacity(validate_priority(priority))
@@ -618,52 +628,27 @@ class LayoutScheduler:
         )
         if disposition == "done":
             return record, disposition
-        entry = self._cache_hit(job)
         if entry is not None:
             # Solved in a previous epoch (or by a CLI batch sharing the
             # cache): settle instantly, never touching the pool.
-            summary = dict(entry.summary)
-            summary["served"] = "cache"
-            self.queue.settle(
-                key,
-                "done",
-                summary=summary,
-                runtime=float(entry.summary.get("runtime_s", 0.0)),
-            )
-            self._bump("_served_from_cache")
             admission_span(key, "served from cache")
-            settled = self.queue.get(key)
-            total = 0.0
-            if settled is not None and settled.settled_unix:
-                total = max(
-                    0.0, settled.settled_unix - settled.submitted_unix
-                )
-            self._observe_settled(key, total, queue_wait=0.0, solve=0.0)
             self.bus.publish(
                 "queued", key, record.label, "queued", trace=record.trace_id
             )
-            self.bus.publish(
-                "done", key, record.label, "done",
-                detail="served from cache", trace=record.trace_id,
+            self._settle(
+                record, "done", ("_served_from_cache",),
+                summary=dict(entry.summary, served="cache"),
+                runtime=float(entry.summary.get("runtime_s", 0.0)),
+                detail="served from cache",
+                at_admission=True,
             )
-            return settled, "cached"
+            return record, "cached"
         admission_span(key, disposition)
         self.bus.publish(
             "queued", key, record.label, "queued", trace=record.trace_id
         )
         self._wakeup.notify()
         return record, disposition
-
-    def _cache_hit(self, job: LayoutJob):
-        """Cache lookup that counts a *hit* but never a miss.
-
-        The pool performs its own counted lookup when the job is actually
-        dispatched; counting the admission probe's miss as well would
-        double-count every fresh submission in ``GET /stats``.
-        """
-        if self.cache.peek(job) is None:
-            return None
-        return self.cache.get(job)  # counts exactly one hit
 
     # ------------------------------------------------------------------ #
     # backpressure
@@ -758,29 +743,15 @@ class LayoutScheduler:
             return record
 
     def _quarantine_exhausted(self, record: JobRecord) -> None:
-        error = (
-            f"poisoned: quarantine budget exhausted "
-            f"(attempts={record.attempts}/{self.poison_threshold})"
+        # Never dispatched this time around: the whole latency is wait.
+        self._settle(
+            record, "failed", ("_poisoned", "_failed"),
+            log_event="job.quarantined",
+            error=(
+                f"poisoned: quarantine budget exhausted "
+                f"(attempts={record.attempts}/{self.poison_threshold})"
+            ),
         )
-        if self.queue.settle(record.key, "failed", error=error):
-            self._bump("_poisoned")
-            self._bump("_failed")
-            total = 0.0
-            if record.settled_unix:
-                total = max(0.0, record.settled_unix - record.submitted_unix)
-            # Never dispatched this time around: the whole latency is wait.
-            self._observe_settled(record.key, total, queue_wait=total, solve=0.0)
-            LOG.log(
-                "job.quarantined",
-                level="error",
-                trace=record.trace_id,
-                key=record.key,
-                error=error,
-            )
-            self.bus.publish(
-                "failed", record.key, record.label, "failed",
-                detail=error, trace=record.trace_id,
-            )
 
     def _dispatch_thread(self) -> None:
         """Supervisor shell around :meth:`_dispatch_loop`.
@@ -833,7 +804,10 @@ class LayoutScheduler:
                 )
                 worker_s = CLOCK.perf() - worker_perf
             except Exception as exc:  # noqa: BLE001 - dispatcher boundary
-                self._settle_failure(record, f"{type(exc).__name__}: {exc}")
+                self._settle(
+                    record, "failed", ("_failed",), log_event="job.failed",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
                 continue
             self._record_worker_spans(record, outcome, worker_wall, worker_s)
             settle_wall = CLOCK.time()
@@ -947,92 +921,62 @@ class LayoutScheduler:
         return forward
 
     def _settle_outcome(self, record: JobRecord, outcome: JobOutcome) -> None:
+        """Map a worker outcome onto a settlement (or a crash retry)."""
         state = "done" if outcome.ok else _TERMINAL_KINDS.get(outcome.status, "failed")
         summary = dict(outcome.summary or {})
         error = outcome.error
         if outcome.ok:
             summary["served"] = "cache" if outcome.status == "cached" else "solve"
             if outcome.status == "cached":
-                self._bump("_served_from_cache")
+                counters: Tuple[str, ...] = ("_served_from_cache",)
             else:
-                self._bump("_solved")
+                counters = ("_solved",)
                 self._observe_runtime(outcome.runtime)
                 self._observe_resume(record, outcome, summary)
+        elif self._is_worker_crash(outcome):
+            fresh = self.queue.get(record.key)
+            attempts = fresh.attempts if fresh is not None else record.attempts
+            if attempts < self.poison_threshold:
+                # The crash may be environmental (OOM spike, injected
+                # fault): give the job another worker — but only
+                # poison_threshold of them in total.
+                self._bump("_crash_retries")
+                self.queue.requeue(record.key)
+                LOG.log(
+                    "job.crash_retry",
+                    level="warning",
+                    trace=record.trace_id,
+                    key=record.key,
+                    attempt=attempts,
+                    budget=self.poison_threshold,
+                )
+                self.bus.publish(
+                    "queued",
+                    record.key,
+                    record.label,
+                    "queued",
+                    detail=(
+                        f"retry {attempts}/{self.poison_threshold} "
+                        f"after worker crash"
+                    ),
+                    trace=record.trace_id,
+                )
+                with self._wakeup:
+                    self._wakeup.notify()
+                return
+            # This job reliably kills its workers: quarantine it so it
+            # cannot eat the pool forever.
+            counters = ("_poisoned", "_failed")
+            error = f"poisoned: {outcome.error} (attempts={attempts})"
         else:
-            if self._is_worker_crash(outcome):
-                fresh = self.queue.get(record.key)
-                attempts = fresh.attempts if fresh is not None else record.attempts
-                if attempts < self.poison_threshold:
-                    # The crash may be environmental (OOM spike, injected
-                    # fault): give the job another worker — but only
-                    # poison_threshold of them in total.
-                    self._bump("_crash_retries")
-                    requeued = self.queue.requeue(record.key)
-                    LOG.log(
-                        "job.crash_retry",
-                        level="warning",
-                        trace=record.trace_id,
-                        key=record.key,
-                        attempt=attempts,
-                        budget=self.poison_threshold,
-                    )
-                    self.bus.publish(
-                        "queued",
-                        record.key,
-                        record.label,
-                        "queued",
-                        detail=(
-                            f"retry {attempts}/{self.poison_threshold} "
-                            f"after worker crash"
-                        ),
-                        trace=record.trace_id,
-                    )
-                    with self._wakeup:
-                        self._wakeup.notify()
-                    del requeued
-                    return
-                # This job reliably kills its workers: quarantine it so it
-                # cannot eat the pool forever.
-                self._bump("_poisoned")
-                error = f"poisoned: {outcome.error} (attempts={attempts})"
-            self._bump("_failed")
-        settled = self.queue.settle(
-            record.key,
-            state,
+            counters = ("_failed",)
+        self._settle(
+            record, state, counters,
             summary=summary or None,
             error=error,
             runtime=outcome.runtime,
+            solve=outcome.runtime if outcome.status == "completed" else 0.0,
         )
-        # Observed with the same unconditionality as the counter bumps
-        # above, so the latency histogram's count stays exactly equal to
-        # solved + served_from_cache + failures (minus cache serves, which
-        # have their own histogram).
-        settled_at = record.settled_unix or CLOCK.time()
-        total = max(0.0, settled_at - record.submitted_unix)
-        queue_wait = 0.0
-        if record.started_unix is not None:
-            queue_wait = max(0.0, record.started_unix - record.submitted_unix)
-        solve = outcome.runtime if outcome.status == "completed" else 0.0
-        self._observe_settled(record.key, total, queue_wait, solve)
-        LOG.log(
-            "job.settled",
-            level="info" if outcome.ok else "error",
-            trace=record.trace_id,
-            key=record.key,
-            state=state,
-            runtime_s=round(outcome.runtime, 3),
-            error=error,
-        )
-        if settled:
-            self.bus.publish(
-                _TERMINAL_KINDS.get(outcome.status, "failed"),
-                record.key,
-                record.label,
-                state,
-                detail=error or "",
-                runtime=outcome.runtime,
-                trace=record.trace_id,
-            )
 
     def _observe_resume(
         self,
@@ -1095,47 +1039,68 @@ class LayoutScheduler:
             else:
                 self._runtime_ema = 0.8 * self._runtime_ema + 0.2 * runtime
 
-    def _observe_settled(
-        self, key: str, total: float, queue_wait: float, solve: float
+    def _settle(
+        self,
+        record: JobRecord,
+        state: str,
+        counters: Tuple[str, ...],
+        *,
+        log_event: str = "job.settled",
+        summary: Optional[Dict[str, object]] = None,
+        error: Optional[str] = None,
+        runtime: float = 0.0,
+        solve: float = 0.0,
+        detail: str = "",
+        at_admission: bool = False,
     ) -> None:
-        """Feed one settlement into the latency + stage histograms.
+        """Journal ``record`` as ``state``: the one settlement path.
 
-        The stage values are clamped so that ``queue_wait + solve +
-        overhead == total`` holds *by construction* for every observation
-        — the reconciliation the load harness and CI assert on.  Also
-        marks the job's span tree settled (evictable).
+        Only a settlement the queue actually records (a record that was
+        already terminal is a no-op) bumps ``counters``, feeds the latency
+        and stage histograms, marks the span tree settled (evictable), logs
+        ``log_event`` and publishes the terminal event — so counters and
+        histogram counts move exactly once per settled job, by
+        construction.  ``record`` must be the queue's own record: its
+        timestamps are what the latency is measured from.
+
+        Stage split: a dispatched job waited ``started - submitted`` and
+        spent ``solve`` solving; a job that never started waited its whole
+        latency, unless it was settled ``at_admission`` (all overhead).
+        The values are clamped so ``queue_wait + solve + overhead ==
+        total`` holds *by construction* for every observation — the
+        reconciliation the load harness and CI assert on.
         """
-        total = max(0.0, float(total))
-        queue_wait = min(max(0.0, float(queue_wait)), total)
-        solve = min(max(0.0, float(solve)), total - queue_wait)
-        overhead = max(0.0, total - queue_wait - solve)
+        if not self.queue.settle(
+            record.key, state, summary=summary, error=error, runtime=runtime
+        ):
+            return
+        for counter in counters:
+            self._bump(counter)
+        total = max(0.0, record.settled_unix - record.submitted_unix)
+        if record.started_unix is not None:
+            queue_wait = record.started_unix - record.submitted_unix
+        else:
+            queue_wait = 0.0 if at_admission else total
+        queue_wait = min(max(0.0, queue_wait), total)
+        solve = min(max(0.0, solve), total - queue_wait)
         self._latency_hist.observe(total)
         self._stage_hist["queue_wait"].observe(queue_wait)
         self._stage_hist["solve"].observe(solve)
-        self._stage_hist["overhead"].observe(overhead)
-        self.traces.settle(key)
-
-    def _settle_failure(self, record: JobRecord, error: str) -> None:
-        self._bump("_failed")
-        settled = self.queue.settle(record.key, "failed", error=error)
-        settled_at = record.settled_unix or CLOCK.time()
-        total = max(0.0, settled_at - record.submitted_unix)
-        queue_wait = 0.0
-        if record.started_unix is not None:
-            queue_wait = max(0.0, record.started_unix - record.submitted_unix)
-        self._observe_settled(record.key, total, queue_wait, 0.0)
+        self._stage_hist["overhead"].observe(max(0.0, total - queue_wait - solve))
+        self.traces.settle(record.key)
         LOG.log(
-            "job.failed",
-            level="error",
+            log_event,
+            level="info" if state == "done" else "error",
             trace=record.trace_id,
             key=record.key,
+            state=state,
+            runtime_s=round(runtime, 3),
             error=error,
         )
-        if settled:
-            self.bus.publish(
-                "failed", record.key, record.label, "failed",
-                detail=error, trace=record.trace_id,
-            )
+        self.bus.publish(
+            state, record.key, record.label, state,
+            detail=error or detail, runtime=runtime, trace=record.trace_id,
+        )
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -182,6 +182,72 @@ class TestCacheIntegration:
         assert [o.status for o in outcomes] == ["failed", "completed"]
 
 
+
+def traced(job, trace_id="feedc0de"):
+    job.trace_id = trace_id
+    return job
+
+
+def outcome_shape(outcome):
+    """What must not depend on whether the job ran inline or forked."""
+    return {
+        "status": outcome.status,
+        "summary": outcome.summary,
+        "trace_id": outcome.trace_id,
+        "profile_keys": sorted(outcome.profile or {}),
+        "has_entry": outcome.entry is not None,
+        "has_layout_doc": outcome.layout_doc is not None,
+        "error_prefix": (outcome.error or "").partition(":")[0],
+    }
+
+
+class TestInlineForkedParity:
+    """Inline (``workers=0``) and forked (``workers=1``) runs agree."""
+
+    def run_both(self, tmp_path, make_job, cached=False, runs=1):
+        shapes = {}
+        for workers in (0, 1):
+            cache = (
+                ResultCache(tmp_path / f"cache-{workers}") if cached else None
+            )
+            pool = WorkerPool(workers=workers, cache=cache)
+            outcomes = [pool.run([make_job()])[0] for _ in range(runs)]
+            shapes[workers] = [outcome_shape(outcome) for outcome in outcomes]
+        assert shapes[0] == shapes[1]
+        return shapes[0]
+
+    def test_completed_with_cache(self, tmp_path):
+        (shape,) = self.run_both(tmp_path, lambda: traced(quick("pc")), cached=True)
+        assert shape["status"] == "completed"
+        assert shape["has_entry"] and not shape["has_layout_doc"]
+        assert "cache_put_s" in shape["profile_keys"]
+        assert shape["trace_id"] == "feedc0de"
+
+    def test_completed_without_cache(self, tmp_path):
+        (shape,) = self.run_both(tmp_path, lambda: traced(quick("pn")))
+        assert shape["status"] == "completed"
+        assert shape["has_layout_doc"] and not shape["has_entry"]
+        assert "cache_put_s" not in shape["profile_keys"]
+
+    def test_raising_job(self, tmp_path):
+        (shape,) = self.run_both(
+            tmp_path, lambda: traced(quick("pf", FailingJob)), cached=True
+        )
+        assert shape["status"] == "failed"
+        assert shape["error_prefix"] == "ValueError"
+        assert shape["trace_id"] == "feedc0de"
+
+    def test_cached_rerun(self, tmp_path):
+        first, second = self.run_both(
+            tmp_path, lambda: traced(quick("pr")), cached=True, runs=2
+        )
+        assert first["status"] == "completed"
+        assert second["status"] == "cached"
+        assert second["has_entry"]
+        # The stored profile was written before the store was timed.
+        assert second["profile_keys"] and "cache_put_s" not in second["profile_keys"]
+
+
 class TestProgressEvents:
     def test_event_sequence(self):
         events = []

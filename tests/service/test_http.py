@@ -229,3 +229,29 @@ class TestCacheIntegrityEndpoint:
         # A subsequent fetch of the layout never serves the corrupt bytes.
         with pytest.raises(ServiceError):
             client.layout_document(key)
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_do_not_stall(self, service):
+        """Responses on a kept-alive connection go out without delay.
+
+        Headers and body leave in separate sends; with Nagle's algorithm
+        on, the body waits for the client's delayed ACK (~40 ms a request).
+        """
+        import http.client
+        import time
+
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")  # warm the connection up
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for index in range(10):
+                connection.request("GET", "/healthz" if index % 2 else "/stats")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 keep-alive GETs took {elapsed:.3f}s"

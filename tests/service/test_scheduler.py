@@ -4,9 +4,15 @@ import time
 
 import pytest
 
+from repro.faults import FAULTS, FaultSpec
 from repro.runner import LayoutJob
 from repro.runner.cache import ResultCache
-from repro.service import JobQueue, LayoutScheduler, job_to_document
+from repro.service import (
+    JobQueue,
+    LayoutScheduler,
+    job_from_document,
+    job_to_document,
+)
 from tests.conftest import build_tiny_netlist
 
 
@@ -209,3 +215,246 @@ class TestStats:
             "timeout",
             "cancelled",
         }
+
+
+#: Counters a settlement may move (admission counters are not settlement).
+SETTLEMENT_COUNTERS = {
+    "_solved": "rfic_jobs_solved_total",
+    "_served_from_cache": "rfic_jobs_served_from_cache_total",
+    "_failed": "rfic_jobs_failed_total",
+    "_poisoned": "rfic_jobs_poisoned_total",
+    "_crash_retries": "rfic_crash_retries_total",
+    "_attached": "rfic_jobs_attached_total",
+}
+
+
+def settlement_view(scheduler):
+    """Settlement counters, latency count/sum and stage sums, from one snapshot."""
+    snapshot = scheduler.metrics_snapshot()
+
+    def histogram(name, labels=None):
+        for sample in snapshot[name]["samples"]:
+            if sample["labels"] == (labels or {}):
+                return sample
+        raise AssertionError(f"no {name} series with labels {labels}")
+
+    latency = histogram("rfic_job_latency_seconds")
+    return {
+        "counters": {
+            attr: snapshot[name]["samples"][0]["value"]
+            for attr, name in SETTLEMENT_COUNTERS.items()
+        },
+        "latency_count": latency["count"],
+        "latency_sum": latency["sum"],
+        "stages": {
+            stage: histogram("rfic_job_stage_seconds", {"stage": stage})["sum"]
+            for stage in ("queue_wait", "solve", "overhead")
+        },
+    }
+
+
+def second_epoch(tmp_path, tag):
+    """A fresh-journal scheduler over a cache already holding ``tag``'s layout."""
+    first = make_scheduler(tmp_path, "first")
+    first.start()
+    record, _ = first.submit(tiny_document(tag))
+    assert wait_until(lambda: first.queue.get(record.key).terminal)
+    first.stop()
+    queue = JobQueue(tmp_path / "second", fsync=False)
+    return LayoutScheduler(queue=queue, cache=first.cache, pool_workers=0)
+
+
+def poisoned_scheduler(tmp_path):
+    """A forked-worker scheduler whose every worker crashes (budget 2)."""
+    FAULTS.install(
+        [FaultSpec(point="worker.run", action="crash", times=0)],
+        state_dir=tmp_path / "faults",
+    )
+    queue = JobQueue(tmp_path / "svc", fsync=False)
+    cache = ResultCache(tmp_path / "svc-cache")
+    return LayoutScheduler(
+        queue=queue, cache=cache, concurrency=1, pool_workers=1,
+        poison_threshold=2,
+    )
+
+
+def settle_solved(tmp_path):
+    return make_scheduler(tmp_path), tiny_document("solved"), None
+
+
+def settle_cache_serve(tmp_path):
+    return second_epoch(tmp_path, "served"), tiny_document("served"), None
+
+
+def settle_raising(tmp_path):
+    FAULTS.install([FaultSpec(point="worker.run", action="raise", times=1)])
+    return make_scheduler(tmp_path), tiny_document("raising"), None
+
+
+def settle_dispatch_error(tmp_path):
+    scheduler = make_scheduler(tmp_path)
+
+    def poison(record):
+        record.document["flow"] = "magic"  # the stored document no longer parses
+
+    return scheduler, tiny_document("bad-document"), poison
+
+
+def settle_crash_poison(tmp_path):
+    return poisoned_scheduler(tmp_path), tiny_document("crasher"), None
+
+
+def settle_requarantine(tmp_path):
+    scheduler = poisoned_scheduler(tmp_path)
+    scheduler.start()
+    record, _ = scheduler.submit(tiny_document("repeat"))
+    assert wait_until(lambda: scheduler.queue.get(record.key).terminal, 60)
+    assert wait_until(lambda: settlement_view(scheduler)["latency_count"] == 1)
+    return scheduler, tiny_document("repeat"), None
+
+
+def expected_split(record, split):
+    """The (queue_wait, solve, overhead) split each settlement path promises."""
+    total = max(0.0, record.settled_unix - record.submitted_unix)
+    if split == "overhead":  # settled at admission, never queued
+        return 0.0, 0.0, total
+    if split == "queue_wait":  # re-quarantined before any worker ran
+        return total, 0.0, 0.0
+    queue_wait = min(max(0.0, record.started_unix - record.submitted_unix), total)
+    solve = min(record.runtime, total - queue_wait) if split == "solve" else 0.0
+    return queue_wait, solve, total - queue_wait - solve
+
+
+class TestSettlementPaths:
+    """Every terminal path settles exactly once, observed exactly once."""
+
+    @pytest.fixture(autouse=True)
+    def clean_faults(self):
+        FAULTS.clear()
+        yield
+        FAULTS.clear()
+
+    @pytest.mark.parametrize(
+        "setup, disposition, counters, kind, state, split, error_prefix",
+        [
+            (settle_solved, "queued", {"_solved": 1}, "done", "done",
+             "solve", None),
+            (settle_cache_serve, "cached", {"_served_from_cache": 1}, "done",
+             "done", "overhead", None),
+            (settle_raising, "queued", {"_failed": 1}, "failed", "failed",
+             "dispatched", "RuntimeError"),
+            (settle_dispatch_error, "queued", {"_failed": 1}, "failed",
+             "failed", "dispatched", "ConfigurationError"),
+            (settle_crash_poison, "queued",
+             {"_crash_retries": 1, "_poisoned": 1, "_failed": 1}, "failed",
+             "failed", "dispatched", "poisoned:"),
+            (settle_requarantine, "requeued", {"_poisoned": 1, "_failed": 1},
+             "failed", "failed", "queue_wait", "poisoned:"),
+        ],
+        ids=["solved", "cache-serve", "raising-job", "dispatch-error",
+             "crash-retry-poison", "requarantine"],
+    )
+    def test_settlement_is_observed_once(
+        self, tmp_path, setup, disposition, counters, kind, state, split,
+        error_prefix,
+    ):
+        scheduler, document, tamper = setup(tmp_path)
+        try:
+            key = job_from_document(document).content_hash
+            before = settlement_view(scheduler)
+            watcher = scheduler.bus.subscribe(key, replay=False)
+            record, answered = scheduler.submit(document)
+            assert answered == disposition
+            if tamper is not None:
+                tamper(record)
+            scheduler.start()
+            assert wait_until(lambda: scheduler.queue.get(key).terminal, 60)
+            assert wait_until(
+                lambda: settlement_view(scheduler)["latency_count"]
+                > before["latency_count"]
+            )
+            events = []
+            while True:  # drain until the stream has been quiet a while
+                event = watcher.get(timeout=0.3)
+                if event is None:
+                    break
+                events.append(event)
+            after = settlement_view(scheduler)
+            settled = scheduler.queue.get(key)
+
+            assert after["latency_count"] - before["latency_count"] == 1
+            moved = {
+                attr: after["counters"][attr] - before["counters"][attr]
+                for attr in SETTLEMENT_COUNTERS
+            }
+            assert moved == {
+                attr: counters.get(attr, 0) for attr in SETTLEMENT_COUNTERS
+            }
+            observed = tuple(
+                after["stages"][stage] - before["stages"][stage]
+                for stage in ("queue_wait", "solve", "overhead")
+            )
+            assert observed == pytest.approx(
+                expected_split(settled, split), abs=1e-6
+            )
+            assert after["latency_sum"] - before["latency_sum"] == pytest.approx(
+                sum(observed), abs=1e-6
+            )
+            terminal = [
+                event["kind"] for event in events
+                if event["kind"] in ("done", "failed", "timeout", "cancelled")
+            ]
+            assert terminal == [kind]
+            assert events[-1]["kind"] == kind
+
+            journaled = JobQueue(scheduler.queue.data_dir, fsync=False).get(key)
+            assert journaled.state == settled.state == state
+            if error_prefix is None:
+                assert journaled.error is None
+            else:
+                assert journaled.error.startswith(error_prefix)
+        finally:
+            scheduler.stop()
+
+
+class TestAdmissionVerifiesOnce:
+    """An admission reads a cache entry once: one digest check, one hit."""
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        calls = []
+        verify = ResultCache._verify_artifacts
+
+        def counting(directory, manifest):
+            calls.append(directory)
+            return verify(directory, manifest)
+
+        monkeypatch.setattr(ResultCache, "_verify_artifacts", staticmethod(counting))
+        return calls
+
+    def assert_one_counted_lookup(self, scheduler, verifications, document):
+        hits, misses = scheduler.cache.stats.hits, scheduler.cache.stats.misses
+        del verifications[:]
+        record, disposition = scheduler.submit(document)
+        assert disposition == "cached"
+        assert record.state == "done"
+        assert len(verifications) == 1
+        assert scheduler.cache.stats.hits == hits + 1
+        assert scheduler.cache.stats.misses == misses
+
+    def test_resubmitted_done_job(self, scheduler, verifications):
+        scheduler.start()
+        record, _ = scheduler.submit(tiny_document("again"))
+        assert wait_until(lambda: scheduler.queue.get(record.key).terminal)
+        self.assert_one_counted_lookup(
+            scheduler, verifications, tiny_document("again")
+        )
+
+    def test_cache_resident_fresh_submission(self, tmp_path, verifications):
+        second = second_epoch(tmp_path, "resident")
+        try:
+            self.assert_one_counted_lookup(
+                second, verifications, tiny_document("resident")
+            )
+        finally:
+            second.stop()
