@@ -15,12 +15,14 @@ from _bench_utils import bench_config, bench_variant, run_once
 from repro.circuits import get_circuit
 from repro.core.model_builder import BuildOptions, RficModelBuilder
 from repro.core.phase1 import _phase1_windows
+from repro.core.seed import seed_placement, spread_boundary_pads
 from repro.core.windows import mean_device_extent
 
 
 def _phase1_options(netlist, config) -> BuildOptions:
     reservation = config.blur_margin_factor * mean_device_extent(netlist)
-    device_windows, chain_windows = _phase1_windows(netlist, config)
+    seeds = spread_boundary_pads(seed_placement(netlist, config.random_seed), netlist)
+    device_windows, chain_windows = _phase1_windows(netlist, config, seeds)
     return BuildOptions(
         blurred_devices=True,
         exact_lengths=False,

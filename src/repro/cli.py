@@ -29,13 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
 from repro.circuit.loader import load_netlist
 from repro.circuits import circuit_names, get_circuit
-from repro.core.config import PhaseSettings, PILPConfig
+from repro.core.config import PILPConfig
 from repro.core.exact import ExactLayoutGenerator
 from repro.core.pilp import PILPLayoutGenerator
 from repro.baselines.manual_like import ManualLikeFlow
@@ -538,10 +539,10 @@ def _config_from_args(args: argparse.Namespace) -> PILPConfig:
     time_limit = getattr(args, "time_limit", None)
     if time_limit is not None:
         config = config.with_updates(
-            phase1=PhaseSettings(time_limit=time_limit),
-            phase2=PhaseSettings(time_limit=time_limit),
-            phase3=PhaseSettings(time_limit=time_limit),
-            exact=PhaseSettings(time_limit=time_limit),
+            **{
+                phase: replace(getattr(config, phase), time_limit=time_limit)
+                for phase in ("phase1", "phase2", "phase3", "exact")
+            }
         )
     seed = getattr(args, "seed", None)
     if seed is not None:

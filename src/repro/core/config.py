@@ -58,7 +58,7 @@ class PhaseSettings:
     Attributes
     ----------
     time_limit, mip_gap, backend:
-        As before: wall-clock budget, relative gap and backend name.
+        Wall-clock budget, relative MIP gap and backend name.
     warm_start:
         Seed the solve with an incumbent constructed from the previous
         phase's geometry (or the seed placement for Phase 1).  Warm starts
@@ -72,6 +72,11 @@ class PhaseSettings:
         keeps phases from burning their whole budget after convergence.
         Only honoured by the HiGHS backend, and only for MIPs; with it off
         (or without a time limit) HiGHS runs once on the whole budget.
+
+    All four phase solves read these settings in one place,
+    :func:`repro.core.warm_start.solve_phase`.  The exact (Section 4) model
+    never reads ``warm_start`` or ``progressive``: it is always one cold
+    solve.
     """
 
     time_limit: Optional[float] = 120.0

@@ -14,13 +14,14 @@ progressive flow of Section 5.  We keep the exact flow because
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Optional
 
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
-from repro.core.result import FlowResult, PhaseResult
+from repro.core.model_builder import BuildOptions
+from repro.core.result import FlowResult
+from repro.core.warm_start import solve_phase
 from repro.layout.drc import run_drc
 from repro.layout.metrics import compute_metrics
 
@@ -50,47 +51,26 @@ class ExactLayoutGenerator:
             include_device_blocks=True,
             same_net_spacing=self.config.same_net_spacing,
         )
-        builder = RficModelBuilder(netlist, self.config, options, name=f"exact[{netlist.name}]")
-        build = builder.build()
-        settings = self.config.exact
-        solution = build.model.solve(
-            backend=settings.backend,
-            time_limit=settings.time_limit,
-            mip_gap=settings.mip_gap,
+        # Section 4 is one cold solve, whatever the phase settings ask for.
+        phase = solve_phase(
+            "exact",
+            netlist,
+            self.config,
+            options,
+            replace(self.config.exact, warm_start=False, progressive=False),
+            start,
+            metadata={"flow": self.flow_name},
         )
-        runtime = time.perf_counter() - start
-        if not solution.is_feasible:
-            raise InfeasibleModelError(
-                f"exact model for {netlist.name!r} returned {solution.status.value} "
-                f"after {runtime:.1f}s ({build.model.statistics()})"
-            )
-
-        layout = build.extract_layout(
-            solution,
-            metadata={
-                "flow": self.flow_name,
-                "solver_status": solution.status.value,
-                "solver_backend": solution.backend,
-                "runtime_s": runtime,
-            },
-        )
-        phase = PhaseResult(
-            phase="exact",
-            layout=layout,
-            solution=solution,
-            runtime=runtime,
-            length_errors=build.length_errors(solution),
-            bend_counts=build.bend_counts(solution),
-            total_overlap=0.0,
-            model_statistics=build.model.statistics(),
-        )
+        layout = phase.layout
+        layout.metadata["solver_backend"] = phase.solution.backend
+        layout.metadata["runtime_s"] = phase.runtime
         return FlowResult(
             flow=self.flow_name,
             circuit=netlist.name,
             layout=layout,
             metrics=compute_metrics(layout),
             drc=run_drc(layout),
-            runtime=runtime,
+            runtime=phase.runtime,
             phases=[phase],
         )
 

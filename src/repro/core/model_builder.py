@@ -281,8 +281,8 @@ class BuildResult:
         }
 
     def total_overlap(self, solution: Solution) -> float:
-        """Total residual overlap slack (Phase-1/2 diagnostics)."""
-        return sum(solution.value(slack) for slack in self.overlap_slacks)
+        """Total residual overlap slack (``0.0`` when overlap is forbidden)."""
+        return float(sum(solution.value(slack) for slack in self.overlap_slacks))
 
 
 # --------------------------------------------------------------------------- #

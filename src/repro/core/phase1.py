@@ -14,17 +14,14 @@ globally-unconstrained model solvable.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from typing import Dict, Tuple
-
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions
 from repro.core.result import PhaseResult
 from repro.core.seed import seed_placement, spread_boundary_pads
-from repro.core.warm_start import solve_phase_model, warm_start_from_seeds
+from repro.core.warm_start import solve_phase, warm_start_from_seeds
 from repro.core.windows import mean_device_extent, window_around
 from repro.geometry.rect import Rect
 
@@ -71,46 +68,24 @@ def run_phase1(
         chain_windows=chain_windows,
         same_net_spacing=config.same_net_spacing,
     )
-    builder = RficModelBuilder(netlist, config, options, name=f"phase1[{netlist.name}]")
-    build_started = time.perf_counter()
-    build = builder.build()
-    model_build_time = time.perf_counter() - build_started
-    settings = config.phase1
-    warm_values = None
-    if settings.warm_start and seeds is not None:
-        warm_values = warm_start_from_seeds(build, seeds)
-    solution = solve_phase_model(build, settings, warm_values)
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 1 for {netlist.name!r} returned {solution.status.value} after "
-            f"{runtime:.1f}s ({build.model.statistics()})"
-        )
-
-    layout = build.extract_layout(
-        solution,
+    return solve_phase(
+        "phase1",
+        netlist,
+        config,
+        options,
+        config.phase1,
+        start,
         metadata={
             "flow": "p-ilp",
             "phase": "phase1",
-            "solver_status": solution.status.value,
             "reservation_margin_um": reservation,
         },
-    )
-    return PhaseResult(
-        phase="phase1",
-        layout=layout,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
+        warm=lambda build: warm_start_from_seeds(build, seeds),
     )
 
 
 def _phase1_windows(
-    netlist: Netlist, config: PILPConfig, seeds: Optional[Dict] = None
+    netlist: Netlist, config: PILPConfig, seeds: Optional[Dict]
 ) -> Tuple[Dict[str, Rect], Dict[Tuple[str, int], Rect]]:
     """Confinement corridors for the guided Phase-1 model.
 
@@ -119,16 +94,11 @@ def _phase1_windows(
     confined to a ``phase1_window`` box around its seed position, and every
     chain point of a net to the bounding corridor spanned by its two terminal
     seeds (so detours remain possible anywhere between the terminals).
-    ``seeds`` lets the caller share an already-computed seed placement.
+    ``seeds`` is the caller's seed placement (``None`` when unguided).
     """
     if not config.guided_phase1:
         return {}, {}
     tau = config.phase1_window
-    if seeds is None:
-        seeds = spread_boundary_pads(
-            seed_placement(netlist, config.random_seed), netlist
-        )
-
     device_windows: Dict[str, Rect] = {
         name: window_around(point, tau) for name, point in seeds.items()
     }

@@ -16,21 +16,17 @@ objective (26); Phase 3 iterates until both are exact.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from typing import Dict, Tuple
-
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions
 from repro.core.result import PhaseResult
 from repro.core.seed import relax_seed_overlaps
-from repro.core.warm_start import solve_phase_model, warm_start_from_geometry
+from repro.core.warm_start import solve_phase, warm_start_from_geometry
 from repro.core.windows import (
     chain_point_counts,
     chain_positions_from_layout,
-    chain_windows_from_positions,
     window_around,
 )
 from repro.geometry.point import Point
@@ -69,47 +65,21 @@ def run_phase2(
         chain_windows=chain_windows,
         same_net_spacing=config.same_net_spacing,
     )
-    builder = RficModelBuilder(netlist, config, options, name=f"phase2[{netlist.name}]")
-    build_started = time.perf_counter()
-    build = builder.build()
-    model_build_time = time.perf_counter() - build_started
-    settings = config.phase2
-    warm_values = None
-    if settings.warm_start:
-        # Seed from the legalised Phase-1 geometry: device points pushed
-        # apart until their real outlines clear, chain points as routed.
-        warm_values = warm_start_from_geometry(
+    # Seed from the legalised Phase-1 geometry: device points pushed apart
+    # until their real outlines clear, chain points as routed.
+    return solve_phase(
+        "phase2",
+        netlist,
+        config,
+        options,
+        config.phase2,
+        start,
+        metadata={"flow": "p-ilp", "phase": "phase2", "confinement_window_um": tau},
+        warm=lambda build: warm_start_from_geometry(
             build,
             relaxed_points,
             {name: list(points) for name, points in positions.items()},
-        )
-    solution = solve_phase_model(build, settings, warm_values)
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 2 for {netlist.name!r} returned {solution.status.value} after "
-            f"{runtime:.1f}s ({build.model.statistics()})"
-        )
-
-    layout = build.extract_layout(
-        solution,
-        metadata={
-            "flow": "p-ilp",
-            "phase": "phase2",
-            "solver_status": solution.status.value,
-            "confinement_window_um": tau,
-        },
-    )
-    return PhaseResult(
-        phase="phase2",
-        layout=layout,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
+        ),
     )
 
 

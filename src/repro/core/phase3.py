@@ -22,20 +22,16 @@ the soft model if that turns out to be infeasible within its window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions
 from repro.core.result import PhaseResult
-from repro.core.warm_start import solve_phase_model, warm_start_from_geometry
-from repro.core.windows import (
-    chain_windows_from_positions,
-    device_windows_from_layout,
-    window_around,
-)
+from repro.core.warm_start import solve_phase, warm_start_from_geometry
+from repro.core.windows import chain_windows_from_positions, device_windows_from_layout
 from repro.geometry.point import Point, midpoint
 from repro.layout.drc import DRCReport, run_drc
 from repro.layout.layout import Layout
@@ -133,9 +129,8 @@ def run_phase3_iteration(
     escalation = _WEIGHT_ESCALATION ** iteration
     weights = config.weights
     escalated = config.with_updates(
-        weights=type(weights)(
-            alpha=weights.alpha,
-            beta=weights.beta,
+        weights=replace(
+            weights,
             gamma=weights.gamma * escalation,
             zeta=weights.zeta * escalation,
             eta=weights.eta * escalation,
@@ -168,67 +163,38 @@ def run_phase3_iteration(
         same_net_spacing=config.same_net_spacing,
         forced_spacing_pairs=set(plan.forced_spacing_pairs),
     )
-    builder = RficModelBuilder(
-        netlist, escalated, options, name=f"phase3[{netlist.name}][{iteration}]"
-    )
-    build_started = time.perf_counter()
-    build = builder.build()
-    model_build_time = time.perf_counter() - build_started
-    settings = config.phase3
-    warm_values = None
-    if settings.warm_start:
-        # Seed from the current layout with the planned chain points (which
-        # already reflect this iteration's deletions and insertions).
-        warm_values = warm_start_from_geometry(
-            build,
-            {p.device_name: p.center for p in layout.placements},
-            {name: list(points) for name, points in plan.chain_positions.items()},
-            rotations=fixed_rotations,
+    # Seed from the current layout with the planned chain points (which
+    # already reflect this iteration's deletions and insertions).
+    try:
+        return solve_phase(
+            f"phase3[{iteration}]",
+            netlist,
+            escalated,
+            options,
+            config.phase3,
+            start,
+            metadata={
+                "flow": "p-ilp",
+                "phase": f"phase3[{iteration}]",
+                "exact_lengths": plan.use_exact_lengths,
+                "inserted_chain_points": dict(plan.inserted_points),
+                "deleted_chain_points": dict(plan.deleted_points),
+                "rotatable_devices": sorted(plan.rotatable_devices),
+            },
+            warm=lambda build: warm_start_from_geometry(
+                build,
+                {p.device_name: p.center for p in layout.placements},
+                {name: list(points) for name, points in plan.chain_positions.items()},
+                rotations=fixed_rotations,
+            ),
         )
-    solution = solve_phase_model(build, settings, warm_values)
-
-    if not solution.is_feasible and plan.use_exact_lengths:
-        # The hard-length model can be infeasible inside the current windows;
-        # fall back to the soft model for this iteration.
-        fallback_plan = RefinementPlan(
-            chain_positions=plan.chain_positions,
-            inserted_points=plan.inserted_points,
-            deleted_points=plan.deleted_points,
-            rotatable_devices=plan.rotatable_devices,
-            use_exact_lengths=False,
-            forced_spacing_pairs=plan.forced_spacing_pairs,
-        )
-        return run_phase3_iteration(netlist, layout, config, iteration, fallback_plan)
-
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 3 iteration {iteration} for {netlist.name!r} returned "
-            f"{solution.status.value} after {runtime:.1f}s"
-        )
-
-    refined = build.extract_layout(
-        solution,
-        metadata={
-            "flow": "p-ilp",
-            "phase": f"phase3[{iteration}]",
-            "solver_status": solution.status.value,
-            "exact_lengths": plan.use_exact_lengths,
-            "inserted_chain_points": dict(plan.inserted_points),
-            "deleted_chain_points": dict(plan.deleted_points),
-            "rotatable_devices": sorted(plan.rotatable_devices),
-        },
-    )
-    return PhaseResult(
-        phase=f"phase3[{iteration}]",
-        layout=refined,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
+    except InfeasibleModelError:
+        if not plan.use_exact_lengths:
+            raise
+    # The hard-length model can be infeasible inside the current windows;
+    # fall back to the soft model for this iteration.
+    return run_phase3_iteration(
+        netlist, layout, config, iteration, replace(plan, use_exact_lengths=False)
     )
 
 

@@ -25,14 +25,29 @@ hands it to the next phase, which warm-starts from that geometry exactly as
 it would from a freshly solved predecessor — the JSON round trip preserves
 coordinates bit-exactly, so the warm start (and therefore the solve) is
 identical to the uninterrupted run's.
+
+:func:`solve_phase` is the one path every phase model takes — Phase 1,
+Phase 2, each Phase-3 iteration and the exact model: build, warm start,
+solve, feasibility check, layout read-back.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import time
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.circuit.device import Rotation
-from repro.core.model_builder import BuildResult, NetVars, SegmentVars
+from repro.circuit.netlist import Netlist
+from repro.core.config import PhaseSettings, PILPConfig
+from repro.core.model_builder import (
+    BuildOptions,
+    BuildResult,
+    NetVars,
+    RficModelBuilder,
+    SegmentVars,
+)
+from repro.core.result import PhaseResult
+from repro.errors import InfeasibleModelError
 from repro.geometry.point import Point
 from repro.ilp.expr import LinExpr, Variable
 
@@ -351,23 +366,66 @@ def warm_start_from_seeds(
     return warm_start_from_geometry(build, dict(seeds), chain_points)
 
 
-def solve_phase_model(build: BuildResult, settings, warm_values=None):
-    """Solve a phase model honouring the phase's warm-start knobs.
+def solve_phase(
+    phase: str,
+    netlist: Netlist,
+    config: PILPConfig,
+    options: BuildOptions,
+    settings: PhaseSettings,
+    started: float,
+    metadata: Mapping[str, object],
+    warm: Optional[Callable[[BuildResult], Dict[Variable, float]]] = None,
+) -> PhaseResult:
+    """Build, warm-start, solve and read back one phase model.
 
-    ``settings`` is a :class:`~repro.core.config.PhaseSettings`; the warm
-    start is only forwarded when enabled there, and the progressive sliced
-    solve is requested from the HiGHS backend when configured.
+    ``warm(build)`` is asked for an incumbent only when ``settings`` has
+    ``warm_start`` on, and the progressive sliced solve is requested only
+    from the HiGHS backend.  ``started`` is the caller's start time, so the
+    result's ``runtime`` also covers the phase's preparation (seeds,
+    windows).  The layout carries ``metadata`` plus the solver status.
+
+    Raises
+    ------
+    InfeasibleModelError
+        If the solver returns no feasible solution.
     """
+    builder = RficModelBuilder(netlist, config, options, name=f"{phase}[{netlist.name}]")
+    build_started = time.perf_counter()
+    build = builder.build()
+    model_build_time = time.perf_counter() - build_started
     kwargs = {}
-    if getattr(settings, "warm_start", False) and warm_values:
-        kwargs["warm_start"] = warm_values
-    if getattr(settings, "progressive", False) and settings.backend == "highs":
+    if settings.warm_start and warm is not None:
+        warm_values = warm(build)
+        if warm_values:
+            kwargs["warm_start"] = warm_values
+    if settings.progressive and settings.backend == "highs":
         kwargs["progressive"] = True
-    return build.model.solve(
+    solution = build.model.solve(
         backend=settings.backend,
         time_limit=settings.time_limit,
         mip_gap=settings.mip_gap,
         **kwargs,
+    )
+    runtime = time.perf_counter() - started
+    statistics = build.model.statistics()
+    if not solution.is_feasible:
+        raise InfeasibleModelError(
+            f"{phase} for {netlist.name!r} returned {solution.status.value} after "
+            f"{runtime:.1f}s ({statistics})"
+        )
+    layout = build.extract_layout(
+        solution, metadata={**metadata, "solver_status": solution.status.value}
+    )
+    return PhaseResult(
+        phase=phase,
+        layout=layout,
+        solution=solution,
+        runtime=runtime,
+        length_errors=build.length_errors(solution),
+        bend_counts=build.bend_counts(solution),
+        total_overlap=build.total_overlap(solution),
+        model_statistics=statistics,
+        model_build_time=model_build_time,
     )
 
 

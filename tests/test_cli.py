@@ -142,6 +142,30 @@ class TestGenerateCommand:
         assert "manual flow result" in printed
 
 
+class TestTimeLimitFlag:
+    def test_time_limit_changes_only_the_time_limit(self):
+        from dataclasses import asdict
+
+        from repro.cli import _config_from_args
+        from repro.core.config import PILPConfig
+
+        args = build_parser().parse_args(
+            ["generate", "tiny.json", "--fast", "--time-limit", "5"]
+        )
+        config = _config_from_args(args)
+        fast = PILPConfig.fast()
+        phases = ("phase1", "phase2", "phase3", "exact")
+        for phase in phases:
+            settings = asdict(getattr(config, phase))
+            expected = asdict(getattr(fast, phase))
+            assert settings.pop("time_limit") == 5.0
+            expected.pop("time_limit")
+            assert settings == expected, phase
+        assert {
+            key: value for key, value in asdict(config).items() if key not in phases
+        } == {key: value for key, value in asdict(fast).items() if key not in phases}
+
+
 class TestGenerateSeed:
     def test_seed_on_benchmark_circuit(self, tmp_path, capsys):
         output_path = tmp_path / "seeded.json"

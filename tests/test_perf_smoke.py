@@ -194,3 +194,33 @@ def test_every_highs_solve_takes_the_one_binding_path(monkeypatch):
         if label == "warm MIP":
             assert runs[-1][-1] is not None, "the warm start was dropped"
     assert "optimize.milp" not in inspect.getsource(highs)
+
+
+def test_every_phase_model_takes_the_one_phase_path():
+    """Phase 1, Phase 2, every Phase-3 iteration and the exact model are
+    built, solved and read back only inside ``warm_start.solve_phase``."""
+    import ast
+    from pathlib import Path
+
+    import repro.core as core
+
+    root = Path(core.__file__).parent
+    tree = ast.parse((root / "warm_start.py").read_text())
+    (solve_phase,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_phase"
+    ]
+    found = {"RficModelBuilder(": [], ".model.solve(": [], "PhaseResult(": []}
+    for path in sorted(root.glob("*.py")):
+        if path.name == "model_builder.py":
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for needle, sites in found.items():
+                if needle in line:
+                    sites.append((path.name, number))
+    for needle, sites in found.items():
+        assert len(sites) == 1, f"{needle} appears at {sites}"
+        ((name, number),) = sites
+        assert name == "warm_start.py"
+        assert solve_phase.lineno <= number <= solve_phase.end_lineno, needle
